@@ -8,7 +8,7 @@ all: verify
 
 # Tier-1 verify path: build + vet + determinism lint + full tests +
 # race gate over the concurrency-bearing packages (the parallel
-# experiment runner, the sharded engine and the simulator driving
+# experiment runner, parallel recovery and the simulator driving
 # them), plus the attribution and latency observability gates.
 verify: build vet lint test race verify-attr verify-latency
 
@@ -36,10 +36,10 @@ test-short:
 	$(GO) test -short ./...
 
 # Race detector over the packages with real concurrency: the parallel
-# experiment runner's worker pool, the bank-striped sharded engine and
-# the sim context plumbing they exercise. -short skips the wall-clock
-# speedup comparison, which is meaningless under the race detector's
-# slowdown.
+# experiment runner's worker pool, the engine's parallel recovery
+# workers and the sim context plumbing they exercise. -short skips the
+# wall-clock speedup comparison, which is meaningless under the race
+# detector's slowdown.
 race:
 	$(GO) test -race -short ./internal/experiments ./internal/sim ./internal/secmem ./internal/telemetry
 
@@ -78,11 +78,12 @@ bench-parallel-gate: bench-parallel
 	$(GO) run ./cmd/stardiff -tol regress.tolerance.json -q \
 		$(BENCH_PARALLEL_OUT) $(BENCH_PARALLEL_OUT)
 
-# Intra-machine sharding numbers, committed as BENCH_shard.json:
-# wall-clock STAR recovery at shard widths 1/2/4/8 under the real
-# crypto suite, with the speedup-vs-shards1 metric (meaningful only on
-# a multi-core machine; the document records its CPU count so the gate
-# below can tell the difference).
+# Parallel recovery numbers, committed as BENCH_shard.json: wall-clock
+# STAR recovery at 1/2/4/8 recovery workers (-shards) under the real
+# crypto suite, each iteration crashing and recovering a copy-on-write
+# fork of one dirty engine, with the speedup-vs-shards1 metric
+# (meaningful only on a multi-core machine; the document records its
+# CPU count so the gate below can tell the difference).
 BENCH_SHARD_OUT ?= BENCH_shard.json
 
 bench-shard:
@@ -90,7 +91,7 @@ bench-shard:
 		| $(GO) run ./cmd/benchjson -o $(BENCH_SHARD_OUT)
 	@cat $(BENCH_SHARD_OUT)
 
-# Shard-scaling gate: re-measure, then let stardiff enforce the
+# Recovery-scaling gate: re-measure, then let stardiff enforce the
 # metric_floors in regress.tolerance.json (speedup-vs-shards1 >= 2.0
 # at shards=4). The self-compare makes the floor absolute; machines
 # with fewer than floor_min_cpus CPUs skip it with an info line.
@@ -113,7 +114,7 @@ bench-fork:
 # metric_floors in regress.fork.tolerance.json (speedup-vs-rerun >= 3.0
 # at variants=8). The floor lives in its own tolerance file with no
 # floor_min_cpus: the win is algorithmic (one run instead of K), so it
-# binds on single-CPU machines too — unlike the parallel and shard
+# binds on single-CPU machines too — unlike the parallel and recovery
 # gates, whose floors regress.tolerance.json suspends below 4 CPUs.
 bench-fork-gate: bench-fork
 	$(GO) run ./cmd/stardiff -tol regress.fork.tolerance.json -q \
@@ -159,9 +160,9 @@ verify-attr:
 # Latency-observatory gate: (1) the disabled path stays
 # allocation-free on the engine's write hot path, (2) the histogram
 # merge/quantile and per-op recording invariants hold (bit-identical
-# across shard widths and forks, components summing to end-to-end),
-# (3) a mini latency-enabled sweep renders the tail table and a
-# stardiff-comparable latency document whose self-compare enforces the
+# across recovery worker counts and forks, components summing to
+# end-to-end), (3) a mini latency-enabled sweep renders the tail table
+# and a stardiff-comparable latency document whose self-compare enforces the
 # absolute p99 SLO ceilings of regress.latency.tolerance.json (the
 # document is deterministic — config + seed only — so the ceilings
 # bind identically on every host), (4) the per-scheme CDF charts

@@ -15,6 +15,7 @@
 package nvmstar_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -504,52 +505,31 @@ var macBenchSink uint64
 var recoveryShards1Ns float64
 
 // BenchmarkRecoveryShards measures the wall-clock of STAR's post-crash
-// recovery at several intra-machine shard widths, using the real
+// recovery at several recovery worker counts, using the real
 // AES-CTR/SHA-256 crypto suite — the deterministic fast suite's MACs
 // are too cheap for parallel hashing to show. Recovery restores
 // thousands of stale metadata nodes; at shards > 1 the counter
 // restore, the MAC recompute pass and the cache-tree rebuild fan out
-// over the shard workers while the restored NVM state stays
-// bit-identical to the serial run's. The stardiff gate requires
-// >= 2x speedup at shards=4 on 4+ CPUs; single-core machines record
-// cpus=1 and are exempt — compute-bound speedup is physically
-// impossible there.
+// over the workers while the restored NVM state stays bit-identical
+// to the serial run's. The dirty engine is built once per width, off
+// the timer; each iteration crashes and recovers a copy-on-write fork
+// of it (TestRecoveryShardsForkMatchesFresh pins that a recovered fork
+// equals a freshly built engine). The stardiff gate requires >= 2x
+// speedup at shards=4 on 4+ CPUs; single-core machines record cpus=1
+// and are exempt — compute-bound speedup is physically impossible
+// there.
 func BenchmarkRecoveryShards(b *testing.B) {
-	const (
-		shardDataBytes = 64 << 20
-		shardWrites    = 24000
-	)
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			// 24,000 writes leave ~3k stale metadata nodes to restore.
+			base := dirtyRecoveryEngine(b, shards, 24000)
 			var rep *secmem.RecoveryReport
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				e, err := secmem.New(secmem.Config{
-					DataBytes: shardDataBytes,
-					MetaCache: cache.Config{SizeBytes: 256 << 10, Ways: 8},
-					Suite:     simcrypto.NewReal([16]byte{0x57, 0xa2, 0x0b}),
-					Shards:    shards,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				s, err := star.New(e, bitmap.DefaultConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				e.SetScheme(s)
-				rng := uint64(2026)
-				var line [64]byte
-				for w := 0; w < shardWrites; w++ {
-					rng = rng*6364136223846793005 + 1442695040888963407
-					addr := (rng % (shardDataBytes / 64)) * 64
-					line[0], line[1] = byte(rng), byte(rng>>8)
-					if err := e.WriteLine(addr, line); err != nil {
-						b.Fatal(err)
-					}
-				}
-				e.Crash()
+				e := base.Fork()
 				b.StartTimer()
+				e.Crash()
 				r, err := e.Recover()
 				if err != nil {
 					b.Fatal(err)
@@ -567,6 +547,93 @@ func BenchmarkRecoveryShards(b *testing.B) {
 				b.ReportMetric(recoveryShards1Ns/perOp, "speedup-vs-shards1")
 			}
 			b.ReportMetric(float64(rep.StaleNodes), "stale-nodes")
+		})
+	}
+}
+
+// dirtyRecoveryEngine builds BenchmarkRecoveryShards' uncrashed STAR
+// engine (64 MiB data, 256 KiB metadata cache, real crypto) with the
+// given recovery worker count after a fixed pseudo-random stream of
+// writes.
+func dirtyRecoveryEngine(tb testing.TB, shards, writes int) *secmem.Engine {
+	tb.Helper()
+	const dataBytes = 64 << 20
+	e, err := secmem.New(secmem.Config{
+		DataBytes: dataBytes,
+		MetaCache: cache.Config{SizeBytes: 256 << 10, Ways: 8},
+		Suite:     simcrypto.NewReal([16]byte{0x57, 0xa2, 0x0b}),
+		Shards:    shards,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := star.New(e, bitmap.DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e.SetScheme(s)
+	rng := uint64(2026)
+	var line [64]byte
+	for w := 0; w < writes; w++ {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		addr := (rng % (dataBytes / 64)) * 64
+		line[0], line[1] = byte(rng), byte(rng>>8)
+		if err := e.WriteLine(addr, line); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return e
+}
+
+// TestRecoveryShardsForkMatchesFresh pins BenchmarkRecoveryShards'
+// fork-per-iteration methodology: crashing and recovering a fork of
+// the dirty engine — twice, as successive iterations do — yields the
+// recovery report, engine statistics and post-recovery non-volatile
+// snapshot of a freshly built engine crashed and recovered directly.
+func TestRecoveryShardsForkMatchesFresh(t *testing.T) {
+	const writes = 3000
+	type outcome struct {
+		rep      secmem.RecoveryReport
+		stats    secmem.Stats
+		snapshot []byte
+	}
+	recoverEngine := func(t *testing.T, e *secmem.Engine) outcome {
+		t.Helper()
+		e.Crash()
+		rep, err := e.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Verified {
+			t.Fatalf("recovery unverified: %+v", rep)
+		}
+		stats := e.Stats()
+		e.Crash()
+		var snap bytes.Buffer
+		if err := e.SaveNonVolatile(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return outcome{rep: *rep, stats: stats, snapshot: snap.Bytes()}
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			want := recoverEngine(t, dirtyRecoveryEngine(t, shards, writes))
+			if want.rep.StaleNodes == 0 {
+				t.Fatal("workload left no stale nodes to recover")
+			}
+			base := dirtyRecoveryEngine(t, shards, writes)
+			for i := 0; i < 2; i++ {
+				got := recoverEngine(t, base.Fork())
+				if got.rep != want.rep {
+					t.Errorf("fork %d report diverges:\n  got  %+v\n  want %+v", i, got.rep, want.rep)
+				}
+				if got.stats != want.stats {
+					t.Errorf("fork %d stats diverge:\n  got  %+v\n  want %+v", i, got.stats, want.stats)
+				}
+				if !bytes.Equal(got.snapshot, want.snapshot) {
+					t.Errorf("fork %d post-recovery snapshot diverges from a fresh engine's", i)
+				}
+			}
 		})
 	}
 }

@@ -54,7 +54,7 @@ func run() int {
 	dataMB := flag.Int("data-mb", 64, "protected data size in MiB")
 	metaKB := flag.Int("meta-kb", 256, "metadata cache size in KiB")
 	parallel := flag.Int("parallel", 0, "concurrent cells in the sweep (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "intra-machine shard width: engine goroutines per cell (0/1 = serial; results are bit-identical at every width)")
+	shards := flag.Int("shards", 0, "recovery workers per cell: goroutines for post-crash recovery (0/1 = serial; results are bit-identical at every width)")
 	progress := flag.Bool("progress", true, "report per-cell completion, rate and ETA on stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -123,11 +123,12 @@ func run() int {
 		ropts = append(ropts, experiments.WithWorkloads(strings.Split(*workloads, ",")...))
 	}
 	if runtime.NumCPU() == 1 && (*parallel > 1 || *shards > 1) {
-		// Warn once: on a single-CPU host extra workers/shards only add
-		// scheduling overhead, and speedup floors are meaningless there —
-		// stardiff records the cpus env field of every bench document so
-		// its gates can tell single-CPU numbers apart.
-		fmt.Fprintf(os.Stderr, "starbench: warning: -parallel/-shards > 1 on a 1-CPU host; no parallel speedup is possible (stardiff's cpus env field records this)\n")
+		// Warn once: on a single-CPU host extra pool or recovery
+		// workers only add scheduling overhead, and speedup floors are
+		// meaningless there — stardiff records the cpus env field of
+		// every bench document so its gates can tell single-CPU
+		// numbers apart.
+		fmt.Fprintf(os.Stderr, "starbench: warning: -parallel or -shards (recovery workers) > 1 on a 1-CPU host; no parallel speedup is possible (stardiff's cpus env field records this)\n")
 	}
 	if *progress {
 		ropts = append(ropts, experiments.WithProgress(printProgress))

@@ -110,11 +110,11 @@ func WithConfig(fn func() sim.Config) Option { return func(r *Runner) { r.config
 func WithParallelism(n int) Option { return func(r *Runner) { r.parallel = n } }
 
 // WithShards sets sim.Config.Shards on every machine the runner
-// builds: each machine bank-stripes its engine over n goroutine-backed
-// address shards (intra-machine parallelism, inside one cell), on top
-// of — and orthogonal to — WithParallelism's cell-level pool. All
-// observable outputs are bit-identical across widths; n <= 1 is the
-// serial engine. Overrides the Shards value of a WithConfig supplier.
+// builds: each machine's post-crash recovery fans out over n worker
+// goroutines (inside one cell), on top of — and orthogonal to —
+// WithParallelism's cell-level pool. All observable outputs are
+// bit-identical across widths; n <= 1 is serial recovery. Overrides
+// the Shards value of a WithConfig supplier.
 func WithShards(n int) Option { return func(r *Runner) { r.shards = n } }
 
 // WithCrashPoints sets the operation counts at which crash-family

@@ -115,7 +115,7 @@ func TestRunnerWidthSweepDeterminism(t *testing.T) {
 }
 
 // TestRunnerShardWidthDeterminism is the same harness one level down:
-// intra-machine sharding (engine goroutines inside each cell) must
+// recovery workers (goroutines inside each cell's recovery) must
 // leave every figure row and the sealed manifest digest bit-identical
 // to the serial engine, at any width, stacked on a parallel pool.
 func TestRunnerShardWidthDeterminism(t *testing.T) {

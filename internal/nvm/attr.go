@@ -13,9 +13,8 @@ import (
 // per-bank wear distribution. The disabled state is a single nil check
 // on the accounting path — no allocations, no behavioral change — and
 // all recording happens at the serial accounting point (AccountWrite /
-// AccountWriteCause), which the engine's sharded executor always runs
-// at the serial program point, so attribution is bit-identical at
-// every shard width with no merge step.
+// AccountWriteCause), so attribution is bit-identical at every
+// recovery worker count with no merge step.
 
 // Cause classifies why a line write reached the device.
 type Cause uint8
@@ -159,8 +158,8 @@ type CauseCount struct {
 // ascending Cause order (all causes always present, so the JSON shape
 // — and therefore result digests — depend only on the counts), the
 // total counted writes, and any out-of-band stores. The deterministic
-// ordering makes breakdowns directly comparable across runs, shard
-// widths and forks.
+// ordering makes breakdowns directly comparable across runs, recovery
+// worker counts and forks.
 type Breakdown struct {
 	Total  uint64       `json:"total"` // counted line writes = sum over Causes
 	Banks  int          `json:"banks"`
@@ -176,7 +175,6 @@ func (d *Device) Breakdown() *Breakdown {
 	if a == nil {
 		return nil
 	}
-	d.drainPending()
 	b := &Breakdown{Banks: a.banks, Causes: make([]CauseCount, NumCauses)}
 	for c := Cause(0); c < NumCauses; c++ {
 		var sum uint64
@@ -327,7 +325,6 @@ func (d *Device) BankWearStats() []BankWear {
 	if a == nil {
 		return nil
 	}
-	d.drainPending()
 	if a.wearValid && a.wearWrites == d.stats.Writes {
 		return a.wearStats
 	}
@@ -369,7 +366,6 @@ func (d *Device) WearGrid(cols int) [][]uint64 {
 	if a == nil || cols < 1 {
 		return nil
 	}
-	d.drainPending()
 	grid := make([][]uint64, a.banks)
 	for b := range grid {
 		grid[b] = make([]uint64, cols)

@@ -24,7 +24,7 @@ type RunConfig struct {
 	SeedMatrix  []uint64 `json:"seed_matrix"` // derived PRNG seed per seed index
 	Workloads   []string `json:"workloads"`
 	Parallelism int      `json:"parallelism"`
-	// Shards is the intra-machine shard width the sweep ran with.
+	// Shards is the recovery worker count the sweep ran with.
 	// Like Parallelism it is recorded for the run log but excluded from
 	// comparability and the sealed digest: every observable output is
 	// bit-identical across widths.
@@ -124,8 +124,9 @@ func (m *Manifest) ComputeDigest() string {
 			Seed: c.Seed, Label: c.Label, Digest: c.Digest, Err: c.Err,
 		}
 	}
-	// Pool width and shard width are recorded but do not shape results
-	// (cells are bit-identical at any parallelism and any shard count),
+	// Pool width and recovery workers are recorded but do not shape
+	// results (cells are bit-identical at any parallelism and any
+	// recovery worker count),
 	// so both are excluded from the sealed invariant.
 	cfg := m.Config
 	cfg.Parallelism = 0

@@ -141,9 +141,9 @@ func ConfigFingerprint(cfg sim.Config) string {
 	customSuite := cfg.Suite != nil
 	cfg.Suite = nil
 	cfg.Seed = 0
-	// Shard width is execution strategy, not machine shape: outputs are
-	// bit-identical at every width, so sharded and serial runs must
-	// fingerprint (and therefore compare) equal.
+	// The recovery worker count is execution strategy, not machine
+	// shape: outputs are bit-identical at every width, so parallel and
+	// serial runs must fingerprint (and therefore compare) equal.
 	cfg.Shards = 0
 	// The hash input is the %+v rendering of fingerprintConfig, an
 	// explicit mirror of the config fields as of the fingerprint's

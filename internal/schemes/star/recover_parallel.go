@@ -38,7 +38,8 @@ import (
 //	               serial path's wear-bump sequence.
 //
 // MAC computations performed by workers merge into engine statistics in
-// ascending worker order, mirroring the engine's stripe merge rule.
+// ascending worker order, mirroring Results.Accumulate's ascending-seed
+// rule.
 func (s *Scheme) restoreNodesParallel(ids []sit.NodeID, restored map[sit.NodeID]counter.Node, rep *secmem.RecoveryReport) {
 	geo := s.e.Geometry()
 	workers := s.e.Shards()

@@ -219,8 +219,8 @@ func (s *Scheme) recover(flatScan bool) (*secmem.RecoveryReport, error) {
 
 	// Steps 2+3: restore counters (stale MSBs + children's LSBs), then
 	// recompute MACs against (restored) parent counters and write the
-	// nodes back. With intra-machine sharding the per-node content work
-	// fans out over worker goroutines (recover_parallel.go) behind a
+	// nodes back. With Shards > 1 recovery workers the per-node content
+	// work fans out over worker goroutines (recover_parallel.go) behind a
 	// serial replay of the counted access sequence; outputs are
 	// bit-identical to the serial loops below.
 	restored := make(map[sit.NodeID]counter.Node, len(ids))

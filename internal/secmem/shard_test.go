@@ -17,8 +17,8 @@ import (
 	"nvmstar/internal/simcrypto"
 )
 
-// newEngineShards is newEngine with an explicit intra-machine shard
-// width.
+// newEngineShards is newEngine with an explicit recovery worker
+// count.
 func newEngineShards(t testing.TB, scheme string, dataBytes uint64, cacheBytes, shards int) *secmem.Engine {
 	t.Helper()
 	e, err := secmem.New(secmem.Config{
@@ -75,10 +75,10 @@ func sortedVerify(t testing.TB, e *secmem.Engine, expect map[uint64]memline.Line
 	}
 }
 
-// TestShardBitIdentity is the tentpole's contract at engine level:
-// the same write stream at Shards 1 (the serial path), 2 and 4 must
-// produce identical statistics, identical device counters and
-// byte-identical post-crash non-volatile snapshots.
+// TestShardBitIdentity pins the engine against the recovery worker
+// count: the same write stream at Shards 1, 2 and 4 must produce
+// identical statistics, identical device counters and byte-identical
+// post-crash non-volatile snapshots.
 func TestShardBitIdentity(t *testing.T) {
 	for _, scheme := range []string{"wb", "strict", "anubis", "star"} {
 		t.Run(scheme, func(t *testing.T) {
@@ -174,48 +174,11 @@ func TestShardRecoveryBitIdentity(t *testing.T) {
 	}
 }
 
-// TestShardCrashMidBatch crashes with the write-pending queue
-// guaranteed non-empty (fewer writes than the flush threshold since the
-// last drain): the battery drain at crash must land every acknowledged
-// write, so recovery and read-back see all of them.
-func TestShardCrashMidBatch(t *testing.T) {
-	for _, shards := range []int{2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			e := newEngineShards(t, "star", 1<<20, 16<<10, shards)
-			lines := e.Geometry().DataBytes() / memline.Size
-			persisted := make(map[uint64]memline.Line)
-			r := lcg(99)
-			var seq uint64
-			// 37 writes: far below the 512-task flush threshold, so the
-			// queues still hold work when the crash hits.
-			for i := 0; i < 37; i++ {
-				addr := (r.next() % lines) * memline.Size
-				seq++
-				l := lineFor(addr, seq)
-				if err := e.WriteLine(addr, l); err != nil {
-					t.Fatal(err)
-				}
-				persisted[addr] = l
-			}
-			e.Crash()
-			rep, err := e.Recover()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.Verified {
-				t.Fatalf("recovery unverified: %+v", rep)
-			}
-			verifyAll(t, e, persisted)
-		})
-	}
-}
-
 // TestRandomCrashPointsSharded is the crash-consistency fuzz of
-// crashfuzz_test.go run at shard widths 2 and 4: random bursts leave
-// the pending queues at arbitrary fill levels when the crash hits, and
-// the recovered state must still hold every acknowledged write. The
-// CI race smoke runs this under -race, exercising the fork-join
-// dispatch and merge.
+// crashfuzz_test.go run with 2 and 4 recovery workers: random bursts
+// crash at arbitrary points, and the parallel recovery must still
+// hold every acknowledged write. The CI race smoke runs this under
+// -race, exercising the worker dispatch and merge.
 func TestRandomCrashPointsSharded(t *testing.T) {
 	for _, scheme := range []string{"star", "anubis"} {
 		for _, shards := range []int{2, 4} {

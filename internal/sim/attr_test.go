@@ -82,9 +82,9 @@ func TestAttrDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// TestAttrShardWidthBitIdentity extends the sharding contract to the
-// attribution counters: accounting runs at the serial program point,
-// so the breakdown must be bit-identical at every shard width.
+// TestAttrShardWidthBitIdentity extends the recovery-worker contract to
+// the attribution counters: accounting runs at the serial program
+// point, so the breakdown must be bit-identical at every width.
 func TestAttrShardWidthBitIdentity(t *testing.T) {
 	var base *nvm.Breakdown
 	for _, shards := range []int{1, 2, 4, 8} {

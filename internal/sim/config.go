@@ -50,14 +50,14 @@ type Config struct {
 
 	Seed uint64 // workload PRNG seed
 
-	// Shards is the intra-machine shard width: the engine bank-stripes
-	// its NVM store over this many sub-stores and fans the data-path
-	// crypto and per-node recovery work of one machine out over as many
-	// goroutines, merging results deterministically (ascending shard
-	// order). Every observable output — results, snapshots, manifest
-	// digests — is bit-identical across widths; 0 and 1 both select the
-	// fully serial engine. Orthogonal to the runner's Parallelism, which
-	// spreads whole machines over cells.
+	// Shards is the number of recovery worker goroutines: STAR's
+	// post-crash recovery fans its per-node restore, MAC recompute and
+	// cache-tree rebuild out over this many workers, merging results
+	// deterministically (ascending order). The forward write path is
+	// always serial. Every observable output — results, snapshots,
+	// manifest digests — is bit-identical across widths; 0 and 1 both
+	// select serial recovery. Orthogonal to the runner's Parallelism,
+	// which spreads whole machines over cells.
 	Shards int
 
 	// Telemetry enables the metrics registry: every layer registers its

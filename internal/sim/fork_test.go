@@ -311,9 +311,8 @@ func TestForkThenReset(t *testing.T) {
 	}
 }
 
-// TestForkShardWidths holds the Fork invariant at every shard width the
-// engine supports: the sharded write queue must be settled into the
-// fork so its crash state matches an unsharded-equivalent fresh run.
+// TestForkShardWidths holds the Fork invariant at every recovery worker
+// count: a fork's crash and parallel recovery must match a fresh run's.
 func TestForkShardWidths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full cells per shard width")

@@ -99,11 +99,11 @@ func TestLatencyDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// TestLatencyShardWidthBitIdentity extends the sharding contract to
-// the observatory: recording runs at the serial accounting points, so
-// the full breakdown — bucket vectors, sums, percentiles, component
-// shares — must be bit-identical at every shard width with no merge
-// step.
+// TestLatencyShardWidthBitIdentity extends the recovery-worker
+// contract to the observatory: recording runs at the serial accounting
+// points, so the full breakdown — bucket vectors, sums, percentiles,
+// component shares — must be bit-identical at every worker count with
+// no merge step.
 func TestLatencyShardWidthBitIdentity(t *testing.T) {
 	var base *LatencyBreakdown
 	for _, shards := range []int{1, 2, 4, 8} {

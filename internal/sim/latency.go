@@ -19,10 +19,10 @@ import (
 //
 // The determinism argument mirrors write-cause attribution (PR 9):
 // every recording happens at a serial accounting point — the device
-// access hook, which the engine's sharded executor always fires at the
-// serial program point, and the machine's own charge sites, which run
-// on the driving goroutine — so Results.Latency is bit-identical at
-// every shard width with no merge step, and identical across
+// access hook, which parallel recovery fires from a serial replay, and
+// the machine's own charge sites, which run on the driving goroutine —
+// so Results.Latency is bit-identical at every recovery worker count
+// with no merge step, and identical across
 // Fork/fresh and Reset/new machines. Disabled (the default), the hot
 // paths pay one nil check and Results marshal byte-identically to
 // builds without the feature.

@@ -281,9 +281,9 @@ func (m *Machine) onDeviceAccess(write bool, addr uint64) {
 		m.readWait.Observe(start - m.coreNow[c])
 		m.observeBusyBanks(m.coreNow[c])
 		if m.lat != nil && m.lat.depth > 0 {
-			// The hook is the serial accounting point (the sharded
-			// executor always fires it at the serial program point), so
-			// these notes are bit-identical at every shard width.
+			// The hook is the serial accounting point (parallel recovery
+			// fires it from a serial replay), so these notes are
+			// bit-identical at every recovery worker count.
 			m.lat.note(compBankWait, start-m.coreNow[c])
 			m.lat.note(m.latReadComp(addr), t.ReadNs())
 		}

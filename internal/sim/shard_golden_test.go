@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// TestShardWidthBitIdentity is the machine-level half of the sharding
-// contract: a full simulated run — timing model, telemetry-free stats,
-// crash, recovery, snapshot — must be bit-identical at every shard
-// width. The golden corpus pins Shards=1 (the zero value) to history;
+// TestShardWidthBitIdentity is the machine-level half of the
+// recovery-worker contract: a full simulated run — timing model,
+// telemetry-free stats, crash, recovery, snapshot — must be
+// bit-identical at every worker count. The golden corpus pins Shards=1 (the zero value) to history;
 // this pins 2, 4 and 8 to Shards=1.
 func TestShardWidthBitIdentity(t *testing.T) {
 	if testing.Short() {
