@@ -50,9 +50,10 @@ bench:
 # Machine-readable hot-path numbers, committed as BENCH_hotpath.json so
 # regressions show up in review: the per-scheme engine write path, the
 # real suite's keyed MAC (midstate vs the replaced rekey path, with
-# allocs/op) and the parallel runner sweep.
+# allocs/op), the parallel runner sweep, the cache model's
+# lookup/insert/invalidate and the machine's read-mostly load path.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineWriteLine|BenchmarkRealSuiteMAC|BenchmarkRunnerMatrix' -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineWriteLine|BenchmarkRealSuiteMAC|BenchmarkRunnerMatrix|BenchmarkCache(Lookup|InsertEvict|Invalidate)|BenchmarkMachineLoad' -benchmem . ./internal/cache ./internal/sim \
 		| $(GO) run ./cmd/benchjson -o BENCH_hotpath.json
 	@cat BENCH_hotpath.json
 

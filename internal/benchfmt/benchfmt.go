@@ -50,7 +50,12 @@ func Parse(r io.Reader, doc *Doc) error {
 		line := strings.TrimSpace(sc.Text())
 		for _, key := range []string{"goos", "goarch", "cpu", "pkg"} {
 			if v, ok := strings.CutPrefix(line, key+": "); ok {
-				doc.SetEnv(key, strings.TrimSpace(v))
+				v = strings.TrimSpace(v)
+				// A multi-package run lists every package it benchmarked.
+				if prev := doc.Env[key]; key == "pkg" && prev != "" && prev != v {
+					v = prev + " " + v
+				}
+				doc.SetEnv(key, v)
 			}
 		}
 		if !strings.HasPrefix(line, "Benchmark") {

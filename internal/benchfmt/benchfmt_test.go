@@ -68,3 +68,17 @@ func TestMarshalRoundTrip(t *testing.T) {
 		t.Fatalf("index missing result: %v", idx)
 	}
 }
+
+func TestParseMultiPackageEnv(t *testing.T) {
+	var doc Doc
+	in := sample + "goos: linux\npkg: nvmstar/internal/cache\nBenchmarkCacheLookup-8 100 40 ns/op 0 B/op 0 allocs/op\n"
+	if err := Parse(strings.NewReader(in), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := doc.Env["pkg"]; got != "nvmstar nvmstar/internal/cache" {
+		t.Fatalf("pkg = %q, want both packages", got)
+	}
+	if len(doc.Results) != 3 {
+		t.Fatalf("parsed %d results, want 3", len(doc.Results))
+	}
+}

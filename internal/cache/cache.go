@@ -8,26 +8,26 @@ package cache
 
 import (
 	"fmt"
-	"sort"
 
 	"nvmstar/internal/memline"
 )
 
-// Entry is one cache line slot.
+// Entry is the payload of one cache slot. The slot's address, valid
+// and pinned bits and LRU stamp live in the cache's compact per-slot
+// arrays, so a set scan never touches the 64-byte lines.
 type Entry struct {
-	Addr   uint64 // line-aligned byte address
-	Data   memline.Line
-	Dirty  bool
-	valid  bool
-	pinned bool
-	lru    uint64 // global LRU stamp; larger = more recently used
+	Data  memline.Line
+	Dirty bool
 }
 
-// Pinned reports whether the entry is exempt from victim selection.
-func (e *Entry) Pinned() bool { return e.pinned }
-
-// Valid reports whether the slot holds a line.
-func (e *Entry) Valid() bool { return e.valid }
+// Tag bits. Line addresses are 64-byte aligned, so a slot's tag is its
+// address with the valid and pinned flags in the low bits; 0 is an
+// invalid slot.
+const (
+	tagValid  uint64 = 1
+	tagPinned uint64 = 2
+	tagFlags         = tagValid | tagPinned
+)
 
 // Config sizes a cache.
 type Config struct {
@@ -59,10 +59,17 @@ type EvictFn func(addr uint64, data memline.Line, dirty bool)
 // Cache is a set-associative write-back cache. It is not safe for
 // concurrent use; the simulator is single-goroutine by design so every
 // run is deterministic.
+//
+// Slots are stored structure-of-arrays: slot set*ways+way has its tag
+// in tags, its LRU stamp in stamps and its payload in lines. Lookups
+// scan only tags (one host cache line for 8 ways); victim selection
+// adds stamps.
 type Cache struct {
 	cfg     Config
 	numSets int
-	sets    [][]Entry
+	tags    []uint64 // line address | tagValid | tagPinned; 0 = invalid
+	stamps  []uint64 // global LRU stamp; larger = more recently used
+	lines   []Entry
 	clock   uint64
 	stats   Stats
 	dirty   int // number of dirty lines currently held
@@ -86,12 +93,12 @@ func New(cfg Config) (*Cache, error) {
 	if numSets&(numSets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d is not a power of two", numSets)
 	}
-	sets := make([][]Entry, numSets)
-	backing := make([]Entry, numSets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
-	return &Cache{cfg: cfg, numSets: numSets, sets: sets}, nil
+	return &Cache{
+		cfg: cfg, numSets: numSets,
+		tags:   make([]uint64, lineCapacity),
+		stamps: make([]uint64, lineCapacity),
+		lines:  make([]Entry, lineCapacity),
+	}, nil
 }
 
 // MustNew is New but panics on error, for tests and fixed configs.
@@ -110,7 +117,7 @@ func (c *Cache) NumSets() int { return c.numSets }
 func (c *Cache) Ways() int { return c.cfg.Ways }
 
 // Lines returns the total line capacity.
-func (c *Cache) Lines() int { return c.numSets * c.cfg.Ways }
+func (c *Cache) Lines() int { return len(c.tags) }
 
 // SetIndex returns the set an address maps to.
 func (c *Cache) SetIndex(addr uint64) int {
@@ -123,26 +130,31 @@ func (c *Cache) Stats() Stats { return c.stats }
 // DirtyCount returns the number of dirty lines currently cached.
 func (c *Cache) DirtyCount() int { return c.dirty }
 
-// find returns the entry holding addr, or nil.
-func (c *Cache) find(addr uint64) *Entry {
-	set := c.sets[c.SetIndex(addr)]
-	for i := range set {
-		if set[i].valid && set[i].Addr == addr {
-			return &set[i]
+// find returns the slot holding the line-aligned addr, or -1.
+func (c *Cache) find(addr uint64) int {
+	base := c.SetIndex(addr) * c.cfg.Ways
+	want := addr | tagValid
+	for i, t := range c.tags[base : base+c.cfg.Ways] {
+		if t&^tagPinned == want {
+			return base + i
 		}
 	}
-	return nil
+	return -1
+}
+
+// touch makes a slot the most recently used.
+func (c *Cache) touch(slot int) {
+	c.clock++
+	c.stamps[slot] = c.clock
 }
 
 // Lookup returns the cached line and whether it was present, updating
 // LRU order and hit/miss statistics.
 func (c *Cache) Lookup(addr uint64) (*Entry, bool) {
-	addr = memline.Align(addr)
-	if e := c.find(addr); e != nil {
-		c.clock++
-		e.lru = c.clock
+	if i := c.find(memline.Align(addr)); i >= 0 {
+		c.touch(i)
 		c.stats.Hits++
-		return e, true
+		return &c.lines[i], true
 	}
 	c.stats.Misses++
 	return nil, false
@@ -150,13 +162,15 @@ func (c *Cache) Lookup(addr uint64) (*Entry, bool) {
 
 // Peek returns the cached entry without touching LRU order or stats.
 func (c *Cache) Peek(addr uint64) (*Entry, bool) {
-	e := c.find(memline.Align(addr))
-	return e, e != nil
+	if i := c.find(memline.Align(addr)); i >= 0 {
+		return &c.lines[i], true
+	}
+	return nil, false
 }
 
 // Contains reports presence without touching LRU order or stats.
 func (c *Cache) Contains(addr uint64) bool {
-	return c.find(memline.Align(addr)) != nil
+	return c.find(memline.Align(addr)) >= 0
 }
 
 // Insert places a line in the cache, evicting the set's LRU victim if
@@ -164,108 +178,112 @@ func (c *Cache) Contains(addr uint64) bool {
 // address that is already present overwrites it in place.
 func (c *Cache) Insert(addr uint64, data memline.Line, dirty bool, onEvict EvictFn) *Entry {
 	addr = memline.Align(addr)
-	if e := c.find(addr); e != nil {
+	if i := c.find(addr); i >= 0 {
+		e := &c.lines[i]
 		if dirty && !e.Dirty {
 			c.dirty++
 		}
 		e.Data = data
 		e.Dirty = e.Dirty || dirty
-		c.clock++
-		e.lru = c.clock
+		c.touch(i)
 		return e
 	}
-	victim := c.victimSlot(c.SetIndex(addr))
-	if victim == nil {
+	v := c.victimSlot(c.SetIndex(addr))
+	if v < 0 {
 		panic(fmt.Sprintf("cache: every way of set %d is pinned", c.SetIndex(addr)))
 	}
-	if victim.valid {
+	if t := c.tags[v]; t != 0 {
+		victim := &c.lines[v]
 		c.stats.Evictions++
 		if victim.Dirty {
 			c.stats.DirtyEvicts++
 			c.dirty--
 		}
 		if onEvict != nil {
-			onEvict(victim.Addr, victim.Data, victim.Dirty)
+			onEvict(t&^tagFlags, victim.Data, victim.Dirty)
 		}
 	}
-	c.clock++
-	*victim = Entry{Addr: addr, Data: data, Dirty: dirty, valid: true, lru: c.clock}
+	c.tags[v] = addr | tagValid
+	c.touch(v)
+	e := &c.lines[v]
+	*e = Entry{Data: data, Dirty: dirty}
 	if dirty {
 		c.dirty++
 	}
-	return victim
+	return e
 }
 
 // victimSlot returns the slot Insert would fill in this set: the first
-// invalid slot, else the least recently used unpinned entry, or nil if
-// every valid slot is pinned.
-func (c *Cache) victimSlot(set int) *Entry {
-	var victim *Entry
-	for i := range c.sets[set] {
-		e := &c.sets[set][i]
-		if !e.valid {
-			return e
+// invalid slot, else the least recently used unpinned slot (the first
+// of equal stamps), or -1 if every slot is pinned.
+func (c *Cache) victimSlot(set int) int {
+	victim := -1
+	for i := set * c.cfg.Ways; i < (set+1)*c.cfg.Ways; i++ {
+		t := c.tags[i]
+		if t == 0 {
+			return i
 		}
-		if e.pinned {
+		if t&tagPinned != 0 {
 			continue
 		}
-		if victim == nil || e.lru < victim.lru {
-			victim = e
+		if victim < 0 || c.stamps[i] < c.stamps[victim] {
+			victim = i
 		}
 	}
 	return victim
 }
 
 // VictimFor previews the eviction Insert(addr, ...) would perform:
-// the valid entry that would leave the cache, or ok=false when the
-// insertion needs no eviction (the address is already present, or a
-// free slot exists). The engine uses it to flush dirty victims before
-// the insertion, so dirty lines never leave the cache unwritten.
-func (c *Cache) VictimFor(addr uint64) (*Entry, bool) {
+// the address and entry of the valid line that would leave the cache,
+// or ok=false when the insertion needs no eviction (the address is
+// already present, or a free slot exists). The engine uses it to flush
+// dirty victims before the insertion, so dirty lines never leave the
+// cache unwritten.
+func (c *Cache) VictimFor(addr uint64) (vaddr uint64, victim *Entry, ok bool) {
 	addr = memline.Align(addr)
-	if c.find(addr) != nil {
-		return nil, false
+	if c.find(addr) >= 0 {
+		return 0, nil, false
 	}
 	v := c.victimSlot(c.SetIndex(addr))
-	if v == nil || !v.valid {
-		return nil, false
+	if v < 0 || c.tags[v] == 0 {
+		return 0, nil, false
 	}
-	return v, true
+	return c.tags[v] &^ tagFlags, &c.lines[v], true
 }
 
 // Pin exempts a cached line from victim selection, returning whether
 // it was present. Pins do not nest: one Unpin releases the line.
 func (c *Cache) Pin(addr uint64) bool {
-	e := c.find(memline.Align(addr))
-	if e == nil {
+	i := c.find(memline.Align(addr))
+	if i < 0 {
 		return false
 	}
-	e.pinned = true
+	c.tags[i] |= tagPinned
 	return true
 }
 
 // Unpin releases a pinned line.
 func (c *Cache) Unpin(addr uint64) {
-	if e := c.find(memline.Align(addr)); e != nil {
-		e.pinned = false
+	if i := c.find(memline.Align(addr)); i >= 0 {
+		c.tags[i] &^= tagPinned
 	}
 }
 
 // IsPinned reports whether a cached line is pinned.
 func (c *Cache) IsPinned(addr uint64) bool {
-	e := c.find(memline.Align(addr))
-	return e != nil && e.pinned
+	i := c.find(memline.Align(addr))
+	return i >= 0 && c.tags[i]&tagPinned != 0
 }
 
 // MarkDirty marks a cached line dirty, returning whether the line was
 // present and whether this was a clean-to-dirty transition. The
 // transition signal is what STAR's bitmap lines track.
 func (c *Cache) MarkDirty(addr uint64) (present, transition bool) {
-	e := c.find(memline.Align(addr))
-	if e == nil {
+	i := c.find(memline.Align(addr))
+	if i < 0 {
 		return false, false
 	}
-	return true, c.MarkEntryDirty(e)
+	return true, c.MarkEntryDirty(&c.lines[i])
 }
 
 // MarkEntryDirty is MarkDirty through an entry handle the caller
@@ -283,11 +301,11 @@ func (c *Cache) MarkEntryDirty(e *Entry) (transition bool) {
 // CleanLine clears the dirty bit of a cached line (after a write-back
 // that did not evict, e.g. a flush), returning whether it was dirty.
 func (c *Cache) CleanLine(addr uint64) (wasDirty bool) {
-	e := c.find(memline.Align(addr))
-	if e == nil {
+	i := c.find(memline.Align(addr))
+	if i < 0 {
 		return false
 	}
-	return c.CleanEntry(e)
+	return c.CleanEntry(&c.lines[i])
 }
 
 // CleanEntry is CleanLine through an entry handle the caller already
@@ -305,51 +323,45 @@ func (c *Cache) CleanEntry(e *Entry) (wasDirty bool) {
 // returns the entry contents if it was present. Cross-core migration
 // and crash modeling use it.
 func (c *Cache) Invalidate(addr uint64) (Entry, bool) {
-	e := c.find(memline.Align(addr))
-	if e == nil {
+	i := c.find(memline.Align(addr))
+	if i < 0 {
 		return Entry{}, false
 	}
-	out := *e
-	if e.Dirty {
+	c.tags[i] = 0
+	if c.lines[i].Dirty {
 		c.dirty--
 	}
-	*e = Entry{}
-	return out, true
+	return c.lines[i], true
 }
 
 // FlushAll writes back every dirty line through onEvict and marks the
 // whole cache clean but still resident. A nil onEvict just cleans.
 func (c *Cache) FlushAll(onEvict EvictFn) {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			e := &c.sets[s][i]
-			if e.valid && e.Dirty {
-				if onEvict != nil {
-					onEvict(e.Addr, e.Data, true)
-				}
-				e.Dirty = false
-				c.dirty--
+	for i, t := range c.tags {
+		if e := &c.lines[i]; t != 0 && e.Dirty {
+			if onEvict != nil {
+				onEvict(t&^tagFlags, e.Data, true)
 			}
+			e.Dirty = false
+			c.dirty--
 		}
 	}
 }
 
 // DropAll invalidates every line without write-back: the cache's
-// contents vanish, as volatile state does at a crash.
+// contents vanish, as volatile state does at a crash. Only the tags
+// are cleared: nothing reads the payload or stamp of an invalid slot,
+// and Insert overwrites both when it fills one.
 func (c *Cache) DropAll() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			c.sets[s][i] = Entry{}
-		}
-	}
+	clear(c.tags)
 	c.dirty = 0
 }
 
 // Reset restores the cache to its just-constructed state — every line
-// invalid, LRU clock and statistics zeroed — reusing the entry backing
-// array. The LRU clock must rewind along with the entries: victim
-// selection compares stamps, so a stale clock would change eviction
-// order relative to a fresh cache.
+// invalid, LRU clock and statistics zeroed — reusing the slot arrays.
+// The LRU clock must rewind along with the entries: victim selection
+// compares stamps, so a stale clock would change eviction order
+// relative to a fresh cache.
 func (c *Cache) Reset() {
 	c.DropAll()
 	c.clock = 0
@@ -360,24 +372,19 @@ func (c *Cache) Reset() {
 // pins, dirty bits and statistics, in freshly allocated storage. The
 // copy and the original may then be used from different goroutines.
 func (c *Cache) Fork() *Cache {
-	f := &Cache{cfg: c.cfg, numSets: c.numSets, clock: c.clock, stats: c.stats, dirty: c.dirty}
-	backing := make([]Entry, c.numSets*c.cfg.Ways)
-	f.sets = make([][]Entry, c.numSets)
-	for i := range f.sets {
-		f.sets[i] = backing[i*c.cfg.Ways : (i+1)*c.cfg.Ways]
-		copy(f.sets[i], c.sets[i])
-	}
-	return f
+	f := *c
+	f.tags = append([]uint64(nil), c.tags...)
+	f.stamps = append([]uint64(nil), c.stamps...)
+	f.lines = append([]Entry(nil), c.lines...)
+	return &f
 }
 
-// Range calls fn for every valid entry. Iteration order is by set then
-// way, which is deterministic.
-func (c *Cache) Range(fn func(e *Entry)) {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].valid {
-				fn(&c.sets[s][i])
-			}
+// Range calls fn for every valid entry with its address. Iteration
+// order is by set then way, which is deterministic.
+func (c *Cache) Range(fn func(addr uint64, e *Entry)) {
+	for i, t := range c.tags {
+		if t != 0 {
+			fn(t&^tagFlags, &c.lines[i])
 		}
 	}
 }
@@ -385,26 +392,9 @@ func (c *Cache) Range(fn func(e *Entry)) {
 // SlotOf returns the (set, way) position of a cached address. The
 // Anubis baseline keys its shadow-table entries by cache slot.
 func (c *Cache) SlotOf(addr uint64) (set, way int, ok bool) {
-	addr = memline.Align(addr)
-	set = c.SetIndex(addr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].Addr == addr {
-			return set, i, true
-		}
+	i := c.find(memline.Align(addr))
+	if i < 0 {
+		return 0, 0, false
 	}
-	return 0, 0, false
-}
-
-// SetEntries returns the valid entries of one set ordered by ascending
-// address. The cache-tree's set-MACs are defined over exactly this
-// ordering.
-func (c *Cache) SetEntries(set int) []*Entry {
-	var out []*Entry
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid {
-			out = append(out, &c.sets[set][i])
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
+	return i / c.cfg.Ways, i % c.cfg.Ways, true
 }

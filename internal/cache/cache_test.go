@@ -157,23 +157,6 @@ func TestFlushAllAndDropAll(t *testing.T) {
 	}
 }
 
-func TestSetEntriesOrdered(t *testing.T) {
-	c := MustNew(Config{SizeBytes: 64 * 8, Ways: 4}) // 2 sets
-	// set 0 receives even line indices.
-	c.Insert(4*64, memline.Line{}, true, nil)
-	c.Insert(0*64, memline.Line{}, true, nil)
-	c.Insert(8*64, memline.Line{}, false, nil)
-	entries := c.SetEntries(0)
-	if len(entries) != 3 {
-		t.Fatalf("entries = %d", len(entries))
-	}
-	for i := 1; i < len(entries); i++ {
-		if entries[i-1].Addr >= entries[i].Addr {
-			t.Fatal("SetEntries not ascending")
-		}
-	}
-}
-
 func TestSlotOf(t *testing.T) {
 	c := tiny(t)
 	c.Insert(64, memline.Line{}, false, nil)
@@ -208,7 +191,7 @@ func TestDirtyCountInvariantQuick(t *testing.T) {
 			}
 		}
 		count := 0
-		c.Range(func(e *Entry) {
+		c.Range(func(_ uint64, e *Entry) {
 			if e.Dirty {
 				count++
 			}

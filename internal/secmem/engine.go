@@ -435,16 +435,16 @@ func (e *Engine) PeekDataMAC(addr uint64) (uint64, bool) {
 func (e *Engine) insertMeta(id sit.NodeID, line memline.Line, aux *nodeAux) (inserted bool, err error) {
 	addr := e.geo.NodeAddr(id)
 	for tries := 0; ; tries++ {
-		victim, needsEvict := e.meta.VictimFor(addr)
+		vaddr, victim, needsEvict := e.meta.VictimFor(addr)
 		if !needsEvict || !victim.Dirty {
 			break
 		}
 		if tries > 4*e.meta.Ways() {
 			return false, fmt.Errorf("secmem: cannot clean a victim for %v: set thrashing", id)
 		}
-		vid, ok := e.geo.NodeAt(victim.Addr)
+		vid, ok := e.geo.NodeAt(vaddr)
 		if !ok {
-			panic(fmt.Sprintf("secmem: non-metadata line %#x in metadata cache", victim.Addr))
+			panic(fmt.Sprintf("secmem: non-metadata line %#x in metadata cache", vaddr))
 		}
 		if err := e.FlushNode(vid); err != nil {
 			return false, err
@@ -650,7 +650,7 @@ func (e *Engine) drainForced() error {
 func (e *Engine) FlushNode(id sit.NodeID) error {
 	addr := e.geo.NodeAddr(id)
 	ent, ok := e.meta.Peek(addr)
-	if !ok || !ent.Dirty || ent.Pinned() {
+	if !ok || !ent.Dirty || e.meta.IsPinned(addr) {
 		// Absent or clean: nothing stale to persist. Pinned: an outer
 		// FlushNode frame on this very node is in progress and its
 		// write will cover this request.
@@ -708,11 +708,11 @@ func (e *Engine) FlushAllMetadata() error {
 	for {
 		var pickID sit.NodeID
 		found := false
-		e.meta.Range(func(ent *cache.Entry) {
+		e.meta.Range(func(addr uint64, ent *cache.Entry) {
 			if !ent.Dirty {
 				return
 			}
-			id, ok := e.geo.NodeAt(ent.Addr)
+			id, ok := e.geo.NodeAt(addr)
 			if !ok {
 				return
 			}
