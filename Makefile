@@ -36,12 +36,13 @@ test-short:
 	$(GO) test -short ./...
 
 # Race detector over the packages with real concurrency: the parallel
-# experiment runner's worker pool, the engine's parallel recovery
-# workers and the sim context plumbing they exercise. -short skips the
+# experiment runner's worker pool, STAR's recovery workers and the
+# cache-tree rebuild they fan out, and the sim context plumbing they
+# exercise. -short skips the
 # wall-clock speedup comparison, which is meaningless under the race
 # detector's slowdown.
 race:
-	$(GO) test -race -short ./internal/experiments ./internal/sim ./internal/secmem ./internal/telemetry
+	$(GO) test -race -short ./internal/experiments ./internal/sim ./internal/secmem ./internal/schemes/star ./internal/cachetree ./internal/telemetry
 
 # One benchmark per paper table/figure, plus ablations and baselines.
 bench:

@@ -508,16 +508,16 @@ var recoveryShards1Ns float64
 // recovery at several recovery worker counts, using the real
 // AES-CTR/SHA-256 crypto suite — the deterministic fast suite's MACs
 // are too cheap for parallel hashing to show. Recovery restores
-// thousands of stale metadata nodes; at shards > 1 the counter
-// restore, the MAC recompute pass and the cache-tree rebuild fan out
-// over the workers while the restored NVM state stays bit-identical
-// to the serial run's. The dirty engine is built once per width, off
-// the timer; each iteration crashes and recovers a copy-on-write fork
-// of it (TestRecoveryShardsForkMatchesFresh pins that a recovered fork
-// equals a freshly built engine). The stardiff gate requires >= 2x
-// speedup at shards=4 on 4+ CPUs; single-core machines record cpus=1
-// and are exempt — compute-bound speedup is physically impossible
-// there.
+// thousands of stale metadata nodes; the counter restore, the MAC
+// recompute pass and the cache-tree rebuild fan out over the workers
+// (inline at shards=1) while the restored NVM state stays
+// bit-identical at every width. The dirty engine is built once per
+// width, off the timer; each iteration crashes and recovers a
+// copy-on-write fork of it (TestRecoveryShardsForkMatchesFresh pins
+// that a recovered fork equals a freshly built engine). The stardiff
+// gate requires >= 2x speedup at shards=4 on 4+ CPUs; single-core
+// machines record cpus=1 and are exempt — compute-bound speedup is
+// physically impossible there.
 func BenchmarkRecoveryShards(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -54,7 +54,7 @@ func run() int {
 	dataMB := flag.Int("data-mb", 64, "protected data size in MiB")
 	metaKB := flag.Int("meta-kb", 256, "metadata cache size in KiB")
 	parallel := flag.Int("parallel", 0, "concurrent cells in the sweep (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "recovery workers per cell: goroutines for post-crash recovery (0/1 = serial; results are bit-identical at every width)")
+	shards := flag.Int("shards", 0, "recovery workers per cell: goroutines for post-crash recovery (0/1 = one worker, inline; results are bit-identical at every width)")
 	progress := flag.Bool("progress", true, "report per-cell completion, rate and ETA on stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")

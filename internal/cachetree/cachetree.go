@@ -203,37 +203,12 @@ func (t *Tree) RebuildAll() {
 // BuildRoot reconstructs the root from scratch, as recovery does: it
 // sorts each set's entries by ascending address (the same order used
 // before the crash), computes the set-MACs, and hashes up the fixed
-// tree shape. entriesBySet may omit empty sets.
-func BuildRoot(suite simcrypto.Suite, numSets int, entriesBySet map[int][]SetEntry) (uint64, error) {
-	t, err := New(suite, numSets)
-	if err != nil {
-		return 0, err
-	}
-	for set, entries := range entriesBySet { //detlint:ok each set assigns its own leaf slot; RebuildAll below sees only the final leaves
-		if set < 0 || set >= numSets {
-			return 0, fmt.Errorf("cachetree: set %d out of range during rebuild", set)
-		}
-		sorted := append([]SetEntry(nil), entries...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Addr < sorted[j].Addr })
-		t.levels[0][set] = SetMAC(suite, sorted)
-		t.stats.SetMACs++
-	}
-	t.RebuildAll()
-	return t.Root(), nil
-}
-
-// BuildRootParallel is BuildRoot with the set-MAC computation and the
-// interior-node hashing fanned out over workers goroutines: sets split
-// into contiguous chunks, then each tree level is hashed in parallel
-// with a barrier between levels (a node needs its children's level
-// complete). Workers hash through private buffers — Tree.hashChildren
-// reuses a shared one, so this builds the levels directly. The root is
-// bit-identical to BuildRoot's: same leaf values, same fixed shape,
-// same hash inputs. workers <= 1 simply delegates.
-func BuildRootParallel(suite simcrypto.Suite, numSets int, entriesBySet map[int][]SetEntry, workers int) (uint64, error) {
-	if workers <= 1 {
-		return BuildRoot(suite, numSets, entriesBySet)
-	}
+// tree shape. entriesBySet may omit empty sets. The set-MACs, then each
+// tree level, fan out over workers goroutines in contiguous chunks
+// (FanOut), with a barrier between levels: a node needs its children's
+// level complete. Workers hash through private buffers, so the root is
+// the same at every width.
+func BuildRoot(suite simcrypto.Suite, numSets int, entriesBySet map[int][]SetEntry, workers int) (uint64, error) {
 	if numSets <= 0 {
 		return 0, fmt.Errorf("cachetree: need at least one set, got %d", numSets)
 	}
@@ -247,7 +222,7 @@ func BuildRootParallel(suite simcrypto.Suite, numSets int, entriesBySet map[int]
 	sort.Ints(sets)
 
 	leaves := make([]uint64, numSets)
-	parallelChunks(len(sets), workers, func(lo, hi int) {
+	FanOut(len(sets), workers, func(lo, hi int) {
 		for _, set := range sets[lo:hi] {
 			sorted := append([]SetEntry(nil), entriesBySet[set]...)
 			sort.Slice(sorted, func(i, j int) bool { return sorted[i].Addr < sorted[j].Addr })
@@ -259,7 +234,7 @@ func BuildRootParallel(suite simcrypto.Suite, numSets int, entriesBySet map[int]
 	for len(level) > 1 {
 		next := make([]uint64, (len(level)+7)/8)
 		children := level
-		parallelChunks(len(next), workers, func(lo, hi int) {
+		FanOut(len(next), workers, func(lo, hi int) {
 			var buf [8 * 8]byte
 			for i := lo; i < hi; i++ {
 				for c := 0; c < 8; c++ {
@@ -277,24 +252,27 @@ func BuildRootParallel(suite simcrypto.Suite, numSets int, entriesBySet map[int]
 	return level[0], nil
 }
 
-// parallelChunks splits [0, n) into one contiguous chunk per worker
-// and joins before returning.
-func parallelChunks(n, workers int, fn func(lo, hi int)) {
+// FanOut splits [0, n) into one contiguous chunk per worker, runs fn on
+// each chunk in its own goroutine and joins before returning. With
+// workers <= 1 it calls fn(0, n) inline on the calling goroutine.
+// STAR's recovery passes share it with BuildRoot.
+func FanOut(n, workers int, fn func(lo, hi int)) {
 	if n == 0 {
+		return
+	}
+	if workers <= 1 {
+		fn(0, n)
 		return
 	}
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
 			fn(lo, hi)
-		}(lo, hi)
+		}()
 	}
 	wg.Wait()
 }

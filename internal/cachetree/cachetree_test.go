@@ -9,6 +9,11 @@ import (
 
 func suite() simcrypto.Suite { return simcrypto.NewFast(99) }
 
+// workerWidths are the BuildRoot fan-out widths every rebuild test
+// runs at: inline, even and odd chunkings, and more workers than some
+// levels have nodes.
+var workerWidths = []int{1, 2, 3, 8}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(suite(), 0); err == nil {
 		t.Error("zero sets accepted")
@@ -60,21 +65,27 @@ func TestRootSensitiveToOrderAndContent(t *testing.T) {
 }
 
 func TestIncrementalMatchesRebuild(t *testing.T) {
-	tr, _ := New(suite(), 64)
-	entries := map[int][]SetEntry{
-		0:  {{Addr: 64, MAC: 1}, {Addr: 128, MAC: 2}},
-		7:  {{Addr: 7 * 64, MAC: 3}},
-		63: {{Addr: 63 * 64, MAC: 4}},
-	}
-	for set, es := range entries {
-		tr.UpdateSet(set, es)
-	}
-	rebuilt, err := BuildRoot(suite(), 64, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt != tr.Root() {
-		t.Fatal("incremental root != rebuilt root")
+	// 1 set (the leaf is the root), 64 sets (an exact 8-ary shape) and
+	// 100 sets (ragged: 100 -> 13 -> 2 -> 1, zero-padded last children).
+	for _, numSets := range []int{1, 64, 100} {
+		tr, _ := New(suite(), numSets)
+		entries := map[int][]SetEntry{
+			0:           {{Addr: 64, MAC: 1}, {Addr: 128, MAC: 2}},
+			numSets / 2: {{Addr: 7 * 64, MAC: 3}},
+			numSets - 1: {{Addr: 63 * 64, MAC: 4}},
+		}
+		for set, es := range entries {
+			tr.UpdateSet(set, es)
+		}
+		for _, w := range workerWidths {
+			rebuilt, err := BuildRoot(suite(), numSets, entries, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rebuilt != tr.Root() {
+				t.Fatalf("numSets=%d workers=%d: incremental root != rebuilt root", numSets, w)
+			}
+		}
 	}
 }
 
@@ -83,31 +94,40 @@ func TestBuildRootSortsEntries(t *testing.T) {
 	// discovers nodes in arbitrary order).
 	sorted := map[int][]SetEntry{2: {{Addr: 64, MAC: 5}, {Addr: 128, MAC: 6}}}
 	shuffled := map[int][]SetEntry{2: {{Addr: 128, MAC: 6}, {Addr: 64, MAC: 5}}}
-	r1, _ := BuildRoot(suite(), 8, sorted)
-	r2, _ := BuildRoot(suite(), 8, shuffled)
-	if r1 != r2 {
-		t.Fatal("BuildRoot depends on input order")
+	for _, w := range workerWidths {
+		r1, _ := BuildRoot(suite(), 8, sorted, w)
+		r2, _ := BuildRoot(suite(), 8, shuffled, w)
+		if r1 != r2 {
+			t.Fatalf("workers=%d: BuildRoot depends on input order", w)
+		}
 	}
 }
 
 func TestBuildRootRejectsBadSet(t *testing.T) {
-	if _, err := BuildRoot(suite(), 8, map[int][]SetEntry{9: {{Addr: 1, MAC: 1}}}); err == nil {
-		t.Fatal("out-of-range set accepted")
+	for _, w := range workerWidths {
+		if _, err := BuildRoot(suite(), 8, map[int][]SetEntry{9: {{Addr: 1, MAC: 1}}}, w); err == nil {
+			t.Fatalf("workers=%d: out-of-range set accepted", w)
+		}
+		if _, err := BuildRoot(suite(), 0, nil, w); err == nil {
+			t.Fatalf("workers=%d: zero sets accepted", w)
+		}
 	}
 }
 
 func TestTamperDetection(t *testing.T) {
 	base := map[int][]SetEntry{1: {{Addr: 64, MAC: 100}}}
-	r1, _ := BuildRoot(suite(), 8, base)
 	tampered := map[int][]SetEntry{1: {{Addr: 64, MAC: 101}}}
-	r2, _ := BuildRoot(suite(), 8, tampered)
-	if r1 == r2 {
-		t.Fatal("tampered MAC produced same root")
-	}
 	moved := map[int][]SetEntry{2: {{Addr: 64, MAC: 100}}}
-	r3, _ := BuildRoot(suite(), 8, moved)
-	if r1 == r3 {
-		t.Fatal("moved entry produced same root")
+	for _, w := range workerWidths {
+		r1, _ := BuildRoot(suite(), 8, base, w)
+		r2, _ := BuildRoot(suite(), 8, tampered, w)
+		if r1 == r2 {
+			t.Fatalf("workers=%d: tampered MAC produced same root", w)
+		}
+		r3, _ := BuildRoot(suite(), 8, moved, w)
+		if r1 == r3 {
+			t.Fatalf("workers=%d: moved entry produced same root", w)
+		}
 	}
 }
 
@@ -130,8 +150,13 @@ func TestIncrementalEqualsRebuildQuick(t *testing.T) {
 			state[set] = []SetEntry{entry}
 			tr.UpdateSet(set, state[set])
 		}
-		rebuilt, err := BuildRoot(suite(), sets, state)
-		return err == nil && rebuilt == tr.Root()
+		for _, w := range workerWidths {
+			rebuilt, err := BuildRoot(suite(), sets, state, w)
+			if err != nil || rebuilt != tr.Root() {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -146,5 +171,23 @@ func TestBranchUpdateCost(t *testing.T) {
 	delta := tr.Stats().NodeHashes - before.NodeHashes
 	if delta > uint64(tr.Levels()) {
 		t.Fatalf("branch update hashed %d nodes, want <= %d", delta, tr.Levels())
+	}
+}
+
+func TestFanOutCoversRangeOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 8, 100} {
+		for _, w := range []int{-1, 0, 1, 2, 3, 8, 200} {
+			hits := make([]int32, n)
+			FanOut(n, w, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					hits[i]++ // chunks are disjoint, so no two goroutines share an index
+				}
+			})
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("n=%d workers=%d: index %d visited %d times", n, w, i, h)
+				}
+			}
+		}
 	}
 }

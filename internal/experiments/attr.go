@@ -88,32 +88,39 @@ func (a *AttrAggregator) Rows() []AttrRow {
 	}
 	a.mu.Unlock()
 
-	wOrder := map[string]int{}
-	for i, n := range workload.Names() {
-		wOrder[n] = i
-	}
-	sOrder := map[string]int{"wb": 0, "star": 1, "anubis": 2, "phoenix": 3, "strict": 4}
-	rank := func(m map[string]int, name string) int {
-		if r, ok := m[name]; ok {
-			return r
-		}
-		return len(m)
-	}
 	sort.Slice(rows, func(i, j int) bool {
-		wi, wj := rank(wOrder, rows[i].Workload), rank(wOrder, rows[j].Workload)
-		if wi != wj {
-			return wi < wj
-		}
-		if rows[i].Workload != rows[j].Workload {
-			return rows[i].Workload < rows[j].Workload
-		}
-		si, sj := rank(sOrder, rows[i].Scheme), rank(sOrder, rows[j].Scheme)
-		if si != sj {
-			return si < sj
-		}
-		return rows[i].Scheme < rows[j].Scheme
+		return paperOrderLess(rows[i].Workload, rows[i].Scheme, rows[j].Workload, rows[j].Scheme)
 	})
 	return rows
+}
+
+// paperOrderLess orders (workload, scheme) pairs as the paper's
+// figures do: workloads in workload.Names order, schemes wb, star,
+// anubis, phoenix, strict; names outside those lists sort after them,
+// alphabetically.
+func paperOrderLess(wa, sa, wb, sb string) bool {
+	if wa != wb {
+		ra, rb := paperRank(workload.Names(), wa), paperRank(workload.Names(), wb)
+		if ra != rb {
+			return ra < rb
+		}
+		return wa < wb
+	}
+	schemes := []string{"wb", "star", "anubis", "phoenix", "strict"}
+	if ra, rb := paperRank(schemes, sa), paperRank(schemes, sb); ra != rb {
+		return ra < rb
+	}
+	return sa < sb
+}
+
+// paperRank is name's index in order, or len(order) when absent.
+func paperRank(order []string, name string) int {
+	for i, n := range order {
+		if n == name {
+			return i
+		}
+	}
+	return len(order)
 }
 
 // MetricFamilies implements telemetry.MetricsSource, exposing the

@@ -8,7 +8,6 @@ import (
 
 	"nvmstar/internal/sim"
 	"nvmstar/internal/telemetry"
-	"nvmstar/internal/workload"
 )
 
 // LatencyAggregator folds the per-operation latency breakdowns of a
@@ -83,30 +82,8 @@ func (a *LatencyAggregator) Rows() []LatencyRow {
 	}
 	a.mu.Unlock()
 
-	wOrder := map[string]int{}
-	for i, n := range workload.Names() {
-		wOrder[n] = i
-	}
-	sOrder := map[string]int{"wb": 0, "star": 1, "anubis": 2, "phoenix": 3, "strict": 4}
-	rank := func(m map[string]int, name string) int {
-		if r, ok := m[name]; ok {
-			return r
-		}
-		return len(m)
-	}
 	sort.Slice(rows, func(i, j int) bool {
-		wi, wj := rank(wOrder, rows[i].Workload), rank(wOrder, rows[j].Workload)
-		if wi != wj {
-			return wi < wj
-		}
-		if rows[i].Workload != rows[j].Workload {
-			return rows[i].Workload < rows[j].Workload
-		}
-		si, sj := rank(sOrder, rows[i].Scheme), rank(sOrder, rows[j].Scheme)
-		if si != sj {
-			return si < sj
-		}
-		return rows[i].Scheme < rows[j].Scheme
+		return paperOrderLess(rows[i].Workload, rows[i].Scheme, rows[j].Workload, rows[j].Scheme)
 	})
 	return rows
 }

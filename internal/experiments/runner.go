@@ -113,8 +113,9 @@ func WithParallelism(n int) Option { return func(r *Runner) { r.parallel = n } }
 // builds: each machine's post-crash recovery fans out over n worker
 // goroutines (inside one cell), on top of — and orthogonal to —
 // WithParallelism's cell-level pool. All observable outputs are
-// bit-identical across widths; n <= 1 is serial recovery. Overrides
-// the Shards value of a WithConfig supplier.
+// bit-identical across widths; n = 1 is one worker, inline. A nonzero
+// n overrides the Shards value of a WithConfig supplier; a negative n
+// fails every machine build.
 func WithShards(n int) Option { return func(r *Runner) { r.shards = n } }
 
 // WithCrashPoints sets the operation counts at which crash-family
@@ -424,40 +425,6 @@ func (r *Runner) RunSweep(ctx context.Context, cells []Cell) (*Sweep, error) {
 	return &Sweep{Results: out, Stats: r.Snapshot(), Wall: time.Since(start)}, nil
 }
 
-// Stream is Run delivering each CellResult as it completes (completion
-// order, not cell order). The channel closes when the sweep finishes
-// or the context is canceled.
-func (r *Runner) Stream(ctx context.Context, cells []Cell) <-chan CellResult {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ch := make(chan CellResult)
-	go func() {
-		defer close(ch)
-		r.forEach(ctx, cells, func(ctx context.Context, mp *machinePool, i int) error {
-			start := time.Now()
-			res, runErr := r.runSeed(ctx, mp, cells[i])
-			wall := time.Since(start)
-			if runErr != nil {
-				r.record("matrix", cells[i], wall, nil, runErr)
-			} else {
-				r.record("matrix", cells[i], wall, res, nil)
-			}
-			cr := CellResult{Cell: cells[i], Results: res, Err: runErr, Wall: wall}
-			select {
-			case ch <- cr:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			if runErr != nil && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return nil
-		})
-	}()
-	return ch
-}
-
 // --- pool ----------------------------------------------------------------
 
 // machinePool caches one sim.Machine per distinct configuration for a
@@ -704,7 +671,7 @@ func (r *Runner) forEach(parent context.Context, cells []Cell, job func(ctx cont
 func (r *Runner) cfg() sim.Config {
 	if r.config != nil {
 		cfg := r.config()
-		if r.shards > 0 {
+		if r.shards != 0 {
 			cfg.Shards = r.shards
 		}
 		return cfg

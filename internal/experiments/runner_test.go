@@ -323,26 +323,6 @@ func TestRunnerPoolBounding(t *testing.T) {
 	}
 }
 
-func TestRunnerStream(t *testing.T) {
-	r := fastRunner(2)
-	cells := r.Matrix([]string{"queue"}, []string{"wb", "star"})
-	var got []CellResult
-	for cr := range r.Stream(context.Background(), cells) {
-		if cr.Err != nil {
-			t.Fatal(cr.Err)
-		}
-		got = append(got, cr)
-	}
-	if len(got) != len(cells) {
-		t.Fatalf("streamed %d results, want %d", len(got), len(cells))
-	}
-	for _, cr := range got {
-		if cr.Results == nil || cr.Results.Ops == 0 {
-			t.Fatalf("empty streamed result for %v", cr.Cell)
-		}
-	}
-}
-
 func TestRunnerProgress(t *testing.T) {
 	var events []Progress
 	r := fastRunner(2, WithProgress(func(p Progress) { events = append(events, p) }))

@@ -151,6 +151,11 @@ func TestRunnerShardWidthDeterminism(t *testing.T) {
 			t.Errorf("shards %d: manifest digest %s != serial %s", shards, got.digest, base.digest)
 		}
 	}
+	// A negative width overrides the WithConfig supplier too, and every
+	// machine build rejects it.
+	if _, err := fastRunner(2, WithShards(-1)).SchemeComparison(ctx, nil); err == nil {
+		t.Error("shards -1: sweep succeeded")
+	}
 }
 
 // TestRunnerSeedSplitMatchesSequentialLoop pins the deterministic

@@ -230,7 +230,7 @@ func (s *Scheme) Recover() (*secmem.RecoveryReport, error) {
 		}
 		recs = append(recs, stRec{id: id, ctrLSBs: lsbs})
 	}
-	root, err := cachetree.BuildRoot(s.e.Suite(), s.stTree.NumSets(), perSlot)
+	root, err := cachetree.BuildRoot(s.e.Suite(), s.stTree.NumSets(), perSlot, 1)
 	if err != nil {
 		return rep, err
 	}

@@ -208,8 +208,8 @@ func (s *Scheme) recover(flatScan bool) (*secmem.RecoveryReport, error) {
 	}
 	// Bottom-up: counter blocks first. (Counter restoration is order
 	// independent — every child's LSB slot in NVM is current — but
-	// the paper restores bottom-up and deterministic order aids
-	// debugging.)
+	// the paper restores bottom-up, and this order fixes the counted
+	// access sequence below.)
 	sort.Slice(ids, func(i, j int) bool {
 		if ids[i].Level != ids[j].Level {
 			return ids[i].Level < ids[j].Level
@@ -219,21 +219,56 @@ func (s *Scheme) recover(flatScan bool) (*secmem.RecoveryReport, error) {
 
 	// Steps 2+3: restore counters (stale MSBs + children's LSBs), then
 	// recompute MACs against (restored) parent counters and write the
-	// nodes back. With Shards > 1 recovery workers the per-node content
-	// work fans out over worker goroutines (recover_parallel.go) behind a
-	// serial replay of the counted access sequence; outputs are
-	// bit-identical to the serial loops below.
-	restored := make(map[sit.NodeID]counter.Node, len(ids))
-	if s.e.Shards() > 1 {
-		s.restoreNodesParallel(ids, restored, rep)
-	} else {
-		// Step 2.
-		for _, id := range ids {
-			stale, _ := s.e.ReadMetaRaw(id)
+	// nodes back. Each node's content is independent of the others' —
+	// the LSBs come from its children's NVM copies, the MSBs from its own
+	// stale copy, the parent counter from the parent's restored value or
+	// its NVM copy — so the content work fans out over the engine's
+	// recovery workers (inline at Shards 0/1). The accounting does not:
+	// statistics and the device access hook (which drives machine
+	// timing) are observable, so the counted access sequence is replayed
+	// serially first. It is a pure function of ids and geometry — which
+	// reads happen depends only on which children exist, never on NVM
+	// content. Step 2 reads each node and its existing children ...
+	workers := s.e.Shards()
+	for _, id := range ids {
+		s.e.AccountMetaRead(id)
+		rep.NodeReads++
+		for slot := 0; slot < counter.Arity; slot++ {
+			if id.Level == 0 {
+				if childAddr, exists := geo.ChildDataAddr(id, slot); exists {
+					s.e.AccountDataRead(childAddr)
+					rep.NodeReads++
+				}
+			} else if child, exists := geo.ChildNode(id, slot); exists {
+				s.e.AccountMetaRead(child)
+				rep.NodeReads++
+			}
+		}
+	}
+	// ... then step 3 reads each node's parent and writes the node. The
+	// parent read is counted even when the parent is itself stale — its
+	// NVM copy carries the MSB context — matching the paper's
+	// ten-reads-per-stale-node accounting.
+	for _, id := range ids {
+		if parent, _ := geo.Parent(id); !geo.IsRoot(parent) {
+			s.e.AccountMetaRead(parent)
 			rep.NodeReads++
+		}
+		rep.MACComputes++
+		s.e.AccountMetaWrite(id)
+		rep.NodeWrites++
+	}
+
+	// Pass D1: counters, from peeked NVM state. Every peek sees the
+	// crash-time NVM image because nothing is committed until after D2.
+	restored := make([]counter.Node, len(ids))
+	cachetree.FanOut(len(ids), workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			id := ids[i]
+			stale, _ := s.e.PeekMetaRaw(id)
 			node := stale
 			for slot := 0; slot < counter.Arity; slot++ {
-				lsb, ok := s.childLSB(id, slot, rep)
+				lsb, ok := s.peekChildLSB(id, slot)
 				if !ok {
 					// Child never persisted: the counter was never bumped
 					// since the stale copy; keep the stale value.
@@ -241,31 +276,51 @@ func (s *Scheme) recover(flatScan bool) (*secmem.RecoveryReport, error) {
 				}
 				node.Counters[slot] = counter.CombineLSB(stale.Counters[slot], lsb)
 			}
-			restored[id] = node
+			restored[i] = node
 		}
+	})
 
-		// Step 3.
-		for _, id := range ids {
-			node := restored[id]
-			pctr := s.parentCounter(id, restored, rep)
-			node.MACField = s.e.NodeMACField(id, node.Counters, pctr)
-			rep.MACComputes++
-			restored[id] = node
-			s.e.WriteMetaRestored(id, node)
-			rep.NodeWrites++
+	// Pass D2: MAC fields. Workers read Counters (written in D1, now
+	// quiescent) and write only their own chunk's MACField words; a stale
+	// parent's counter comes from D1 through idIndex.
+	idIndex := make(map[sit.NodeID]int, len(ids))
+	for i, id := range ids {
+		idIndex[id] = i
+	}
+	cachetree.FanOut(len(ids), workers, func(lo, hi int) {
+		var buf [80]byte
+		for i := lo; i < hi; i++ {
+			id := ids[i]
+			parent, slot := geo.Parent(id)
+			var pctr uint64
+			if geo.IsRoot(parent) {
+				pctr = s.e.RootNode().Counters[slot]
+			} else if j, ok := idIndex[parent]; ok {
+				pctr = restored[j].Counters[slot]
+			} else {
+				n, _ := s.e.PeekMetaRaw(parent)
+				pctr = n.Counters[slot]
+			}
+			restored[i].MACField = s.e.NodeMACFieldInto(&buf, id, restored[i].Counters, pctr)
 		}
+	})
+	s.e.AddMACComputes(uint64(len(ids)))
+
+	// Commit in ascending id order, the order the replay accounted.
+	for i, id := range ids {
+		s.e.CommitMetaRestored(id, restored[i])
 	}
 
 	// Step 4: rebuild the cache-tree from the restored nodes — the
 	// same set/address ordering used before the crash — and compare
 	// roots. Any replay or tampering of recovery inputs surfaces here.
 	perSet := make(map[int][]cachetree.SetEntry)
-	for _, id := range ids {
+	for i, id := range ids {
 		addr := geo.NodeAddr(id)
 		set := s.e.MetaCache().SetIndex(addr)
-		perSet[set] = append(perSet[set], cachetree.SetEntry{Addr: addr, MAC: restored[id].MACField})
+		perSet[set] = append(perSet[set], cachetree.SetEntry{Addr: addr, MAC: restored[i].MACField})
 	}
-	root, err := cachetree.BuildRootParallel(s.e.Suite(), s.e.MetaCache().NumSets(), perSet, s.e.Shards())
+	root, err := cachetree.BuildRoot(s.e.Suite(), s.e.MetaCache().NumSets(), perSet, workers)
 	if err != nil {
 		return rep, err
 	}
@@ -283,51 +338,32 @@ func (s *Scheme) recover(flatScan bool) (*secmem.RecoveryReport, error) {
 	return rep, nil
 }
 
-// childLSB reads the 10-bit LSB slot persisted in the MAC field of the
-// slot'th child of id. ok is false when the child does not exist or
-// was never written to NVM.
-func (s *Scheme) childLSB(id sit.NodeID, slot int, rep *secmem.RecoveryReport) (uint64, bool) {
+// peekChildLSB reads the 10-bit LSB slot persisted in the MAC field of
+// the slot'th child of id, without counting the access (the replay in
+// recover counts it). ok is false when the child does not exist or was
+// never written to NVM. Safe for concurrent recovery workers.
+func (s *Scheme) peekChildLSB(id sit.NodeID, slot int) (uint64, bool) {
 	geo := s.e.Geometry()
 	if id.Level == 0 {
 		childAddr, exists := geo.ChildDataAddr(id, slot)
 		if !exists {
 			return 0, false
 		}
-		_, macField, present := s.e.ReadDataRaw(childAddr)
-		rep.NodeReads++
-		if !present {
+		if _, present := s.e.Device().Peek(childAddr); !present {
 			return 0, false
 		}
+		macField, _ := s.e.PeekDataMAC(childAddr)
 		return counter.LSB10(macField), true
 	}
 	child, exists := geo.ChildNode(id, slot)
 	if !exists {
 		return 0, false
 	}
-	node, present := s.e.ReadMetaRaw(child)
-	rep.NodeReads++
+	node, present := s.e.PeekMetaRaw(child)
 	if !present {
 		return 0, false
 	}
 	return counter.LSB10(node.MACField), true
-}
-
-func (s *Scheme) parentCounter(id sit.NodeID, restored map[sit.NodeID]counter.Node, rep *secmem.RecoveryReport) uint64 {
-	geo := s.e.Geometry()
-	parent, slot := geo.Parent(id)
-	if geo.IsRoot(parent) {
-		return s.e.RootNode().Counters[slot]
-	}
-	// The read is performed (and counted) even when the parent is in
-	// the restored set — its NVM copy carries the needed MSB context —
-	// matching the paper's 10-reads-per-stale-node accounting; the
-	// authoritative counters come from the restored map when present.
-	n, _ := s.e.ReadMetaRaw(parent)
-	rep.NodeReads++
-	if rn, ok := restored[parent]; ok {
-		return rn.Counters[slot]
-	}
-	return n.Counters[slot]
 }
 
 // reset rewinds the tracker and cache-tree after a successful recovery

@@ -63,11 +63,11 @@ type Config struct {
 	Energy nvm.Energy
 	// TrackWear enables per-line NVM write counters.
 	TrackWear bool
-	// Shards is the number of recovery worker goroutines: schemes with
-	// a parallel recovery (STAR) fan their content passes over Shards
-	// workers and merge in ascending order, so every observable output
-	// is bit-identical to Shards <= 1. The forward path is always
-	// serial.
+	// Shards is the number of recovery worker goroutines: STAR's
+	// recovery fans its content passes over Shards workers (0/1 = one
+	// worker, inline) and merges in ascending order, so every
+	// observable output is bit-identical at every width. Negative
+	// values are rejected. The forward path is always serial.
 	Shards int
 }
 
@@ -173,6 +173,9 @@ type Engine struct {
 func New(cfg Config) (*Engine, error) {
 	if cfg.Suite == nil {
 		return nil, fmt.Errorf("secmem: a crypto suite is required")
+	}
+	if cfg.Shards < 0 {
+		return nil, fmt.Errorf("secmem: recovery workers (Shards) must be >= 0, got %d", cfg.Shards)
 	}
 	if cfg.MetaCache.SizeBytes == 0 {
 		cfg.MetaCache = DefaultMetaCache()
@@ -340,14 +343,13 @@ func (e *Engine) WriteMetaRestored(id sit.NodeID, node counter.Node) {
 
 // --- split recovery accounting ----------------------------------------
 //
-// Parallel recovery separates each counted NVM access into its
+// STAR's recovery separates each counted NVM access into its
 // accounting half (statistics + the device hook, replayed serially in
-// the exact order the serial algorithm would issue it — the hook
-// mutates machine timing state, so its call sequence is part of the
-// observable result) and its content half (pure peeks and commits that
-// fan out over worker goroutines). The four helpers below are those
-// halves; together they compose to exactly ReadMetaRaw / ReadDataRaw /
-// WriteMetaRestored.
+// one fixed order — the hook mutates machine timing state, so its call
+// sequence is part of the observable result) and its content half
+// (pure peeks and commits that fan out over recovery workers). The
+// helpers below are those halves; together they compose to exactly
+// ReadMetaRaw / ReadDataRaw / WriteMetaRestored.
 
 // AccountMetaRead counts one metadata-line NVM read without touching
 // the store.
@@ -384,12 +386,12 @@ func (e *Engine) CommitMetaRestored(id sit.NodeID, node counter.Node) {
 	e.dev.CommitWrite(e.geo.NodeAddr(id), node.Encode())
 }
 
-// AddMACComputes merges MAC-computation counts performed on recovery
-// worker goroutines (callers merge in ascending worker order).
+// AddMACComputes adds MAC computations performed on recovery workers
+// through NodeMACFieldInto, which does not count them itself.
 func (e *Engine) AddMACComputes(n uint64) { e.stats.MACComputes += n }
 
 // Shards returns the configured recovery worker count (0 and 1 both
-// mean serial recovery).
+// mean one worker, inline on the calling goroutine).
 func (e *Engine) Shards() int { return e.cfg.Shards }
 
 // ReadDataRaw reads a user-data line and its sideband MAC field from

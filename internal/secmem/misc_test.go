@@ -109,6 +109,10 @@ func TestDefaultsApplied(t *testing.T) {
 		MetaCache: cache.Config{SizeBytes: 100, Ways: 3}}); err == nil {
 		t.Fatal("invalid cache config accepted")
 	}
+	if _, err := secmem.New(secmem.Config{DataBytes: 1 << 19, Suite: simcrypto.NewFast(1),
+		Shards: -1}); err == nil {
+		t.Fatal("negative recovery worker count accepted")
+	}
 }
 
 func TestStatsSub(t *testing.T) {

@@ -56,8 +56,9 @@ type Config struct {
 	// deterministically (ascending order). The forward write path is
 	// always serial. Every observable output — results, snapshots,
 	// manifest digests — is bit-identical across widths; 0 and 1 both
-	// select serial recovery. Orthogonal to the runner's Parallelism,
-	// which spreads whole machines over cells.
+	// mean one worker, inline; negative values are rejected.
+	// Orthogonal to the runner's Parallelism, which spreads whole
+	// machines over cells.
 	Shards int
 
 	// Telemetry enables the metrics registry: every layer registers its

@@ -60,6 +60,11 @@ func TestNewMachineValidation(t *testing.T) {
 	if _, err := NewMachine(cfg); err == nil {
 		t.Error("unaligned data size accepted")
 	}
+	cfg = Default()
+	cfg.Shards = -1
+	if _, err := NewMachine(cfg); err == nil {
+		t.Error("negative recovery worker count accepted")
+	}
 }
 
 func TestMachineDefaultsFilledIn(t *testing.T) {
